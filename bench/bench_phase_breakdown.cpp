@@ -70,10 +70,6 @@ int main(int argc, char** argv) {
       "average matrix-filtering (setup) share: " +
       format_double(arithmetic_mean(setup_shares), 1) +
       "%   (paper Sec. VI-C: 35-40% on their SNAP suite)");
-  table.add_footer(
-      "note: heavy% includes the per-bucket settled-set scan, so it is "
-      "O(|V|) per bucket even though A_H is empty at delta=1 with unit "
-      "weights — visible on the high-diameter grids.");
   if (args.has("csv")) {
     table.print_csv(std::cout);
   } else {

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Generate the checked-in seed corpora under tests/fuzz_corpus/."""
+"""Generate the checked-in seed corpora under tests/fuzz_corpus/.
+
+Usage: python3 scripts/gen_fuzz_corpus.py   (from any directory)
+"""
 import struct, os, shutil
 
-REPO = "/root/repo"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(REPO, "tests", "data")
 CORPUS = os.path.join(REPO, "tests", "fuzz_corpus")
 
@@ -61,6 +64,11 @@ w("plan_load", "stale_checksum.bin", bytes(stale))
 # reaches the structural validators.
 w("plan_load", "nan_delta.bin", patched(plan, 56, "<d", float("nan")))
 w("plan_load", "negative_delta.bin", patched(plan, 56, "<d", -1.0))
+w("plan_load", "inf_delta.bin", patched(plan, 56, "<d", float("inf")))
+# Finite and positive, but (n - 1) * max_weight / delta reaches 2^53 buckets.
+w("plan_load", "tiny_delta.bin", patched(plan, 56, "<d", 1e-300))
+# max_weight (offset 72) below the stored weights' maximum.
+w("plan_load", "forged_max_weight.bin", patched(plan, 72, "<d", 0.5))
 # row_ptr rise-then-fall: first row_ptr entry after header; row_ptr[1] at
 # header+8. diamond has n=5, e=10: row_ptr is 6 u64s at offset 112.
 w("plan_load", "rowptr_risefall.bin", patched(plan, 112 + 8, "<Q", 1 << 20))

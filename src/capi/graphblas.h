@@ -240,9 +240,11 @@ typedef enum {
 #define DSG_SSSP_DELTA_AUTO 0.0
 
 /* Builds a solver over a snapshot of `a` (square, non-negative weights).
- * `delta` > 0 fixes the bucket width; <= 0 selects it automatically.
- * Errors: GrB_NULL_POINTER, GrB_DIMENSION_MISMATCH (non-square),
- * GrB_INVALID_VALUE (empty graph, negative weight, bad algorithm). */
+ * `delta` > 0 fixes the bucket width; a finite delta <= 0 selects it
+ * automatically.  Errors: GrB_NULL_POINTER, GrB_DIMENSION_MISMATCH
+ * (non-square), GrB_INVALID_VALUE (empty graph, negative weight, bad
+ * algorithm, non-finite delta, or a delta so small that
+ * (n - 1) * max_weight / delta reaches 2^53 buckets). */
 GrB_Info DsgSolver_new(DsgSolver* solver, GrB_Matrix a,
                        DsgSsspAlgorithm algorithm, double delta);
 
@@ -361,7 +363,7 @@ typedef struct {
  * count; queue_capacity 0 is clamped to 1; cache_capacity 0 disables the
  * result cache.  Errors: GrB_NULL_POINTER, GrB_DIMENSION_MISMATCH,
  * GrB_INVALID_VALUE (empty graph, negative weight, bad/pool-unsafe
- * algorithm). */
+ * algorithm, or a delta DsgSolver_new rejects). */
 GrB_Info DsgServer_new(DsgServer* server, GrB_Matrix a,
                        DsgSsspAlgorithm algorithm, double delta,
                        int32_t num_workers, GrB_Index queue_capacity,

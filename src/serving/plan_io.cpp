@@ -5,6 +5,7 @@
 // vectors, so the mapping's lifetime ends inside load().
 #include "serving/plan_io.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -294,9 +295,6 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
     reject(origin, "unsupported index/value width");
   }
   if (header.num_vertices == 0) reject(origin, "empty graph");
-  if (!(std::isfinite(header.delta) && header.delta > 0.0)) {
-    reject(origin, "invalid delta (must be finite and positive)");
-  }
   // Overflow-checked size arithmetic, then the exact cross-check against
   // the real byte count: both run before any allocation, so the vectors
   // sized from these counts are always fully backed by `data`.
@@ -338,10 +336,18 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
   // (a NaN or negative weight would silently corrupt — or hang —
   // delta-stepping), and the CSR/split structure is fully re-validated
   // below before the plan is handed out.
+  double max_w = 0.0;
   for (const double w : val) {
     if (!(std::isfinite(w) && w >= 0.0)) {
       reject(origin, "non-finite or negative edge weight");
     }
+    max_w = std::max(max_w, w);
+  }
+  // Δ is checked against the stored weights, so the header's max_weight
+  // must be theirs: a forged smaller one would pass a Δ whose bucket
+  // indices overflow.
+  if (header.max_weight != max_w) {
+    reject(origin, "header max_weight disagrees with the edge weights");
   }
 
   PlanStats stats;
@@ -351,6 +357,11 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
   stats.avg_out_degree = header.avg_out_degree;
   stats.max_weight = header.max_weight;
   stats.min_positive_weight = header.min_positive_weight;
+  try {
+    check_plan_delta(header.delta, stats);
+  } catch (const grb::InvalidValue& e) {
+    reject(origin, e.what());
+  }
 
   // Restored construction skips re-deriving the stats scalars (the one
   // O(|E|) scan a warm start amortizes) but NOT the structural audit:

@@ -21,7 +21,12 @@ inline constexpr double kInfDist = std::numeric_limits<double>::infinity();
 /// structure (bucket count, phase count) and the timers feed the SEC6B
 /// phase-breakdown benchmark.
 struct SsspStats {
-  std::uint64_t outer_iterations = 0;  ///< buckets processed (i increments)
+  /// Buckets processed.  fused and buckets count only non-empty buckets;
+  /// the GraphBLAS family (graphblas, graphblas_select, capi) and openmp
+  /// count every i they step through, empty ones included.  dijkstra
+  /// counts settled vertices; bellman_ford and the async cores count
+  /// rounds.
+  std::uint64_t outer_iterations = 0;
   std::uint64_t light_phases = 0;      ///< inner-loop light relaxation rounds
   std::uint64_t relax_requests = 0;    ///< relaxation requests generated
   double setup_seconds = 0.0;   ///< A_L / A_H split (matrix filtering)

@@ -1,7 +1,11 @@
 #include "sssp/delta_stepping_fused.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "graphblas/context.hpp"
@@ -17,16 +21,103 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Dense work buffers for the fused kernel, parked in the executing
-/// grb::Context so repeated runs (benchmark reps, multi-source batches)
-/// reuse capacity instead of reallocating four O(n) arrays.  The distance
-/// vector t is excluded: it is moved into the result.
+/// Upper edge of bucket i, evaluated exactly as the bucket test
+/// i·Δ <= t < i·Δ + Δ of the GraphBLAS variants evaluates it.
+double bucket_upper(Index i, double delta) {
+  const double lo = static_cast<double>(i) * delta;
+  return lo + delta;
+}
+
+/// The bucket that holds tentative distance t: the least i with
+/// t < i·Δ + Δ.  Wherever the bucket test holds for some i, this is the
+/// least such i.  ⌊t/Δ⌋ can be one off, because a Δ such as 0.1 is not
+/// exact in binary; the two loops correct it.  GraphPlan keeps t/Δ below
+/// 2^53, so the cast is exact.
+Index bucket_of(double t, double delta) {
+  auto i = static_cast<Index>(std::floor(t / delta));
+  while (i > 0 && t < bucket_upper(i - 1, delta)) --i;
+  while (!(t < bucket_upper(i, delta))) ++i;
+  return i;
+}
+
+struct BucketEntry {
+  Index bucket;
+  Index vertex;
+};
+
+/// The lazy bucket queue: a radix heap of (bucket, vertex) entries.  A
+/// pushed bucket is never below the last bucket taken, so an entry lives in
+/// the bin named by the highest bit in which its bucket differs from that
+/// one.  push is O(1); take_min finds the next non-empty bucket in one
+/// sweep of the lowest non-empty bin, and every entry moves to a lower bin
+/// at most 64 times.  Storage is the pending entries only, whatever
+/// max_w/Δ is.
+class BucketQueue {
+ public:
+  void clear() {
+    for (auto& bin : bins_) bin.clear();
+    last_ = 0;
+    size_ = 0;
+  }
+
+  bool empty() const { return size_ == 0; }
+
+  void push(Index bucket, Index vertex) {
+    bins_[bin_of(bucket)].push_back({bucket, vertex});
+    ++size_;
+  }
+
+  /// Moves every entry of the least pending bucket into `out` (replacing
+  /// its contents) and returns that bucket.  Precondition: !empty().
+  Index take_min(std::vector<BucketEntry>& out) {
+    if (bins_[0].empty()) {
+      std::size_t b = 1;
+      while (bins_[b].empty()) ++b;
+      Index least = bins_[b].front().bucket;
+      for (const BucketEntry& e : bins_[b]) {
+        least = std::min(least, e.bucket);
+      }
+      last_ = least;
+      for (const BucketEntry& e : bins_[b]) {
+        bins_[bin_of(e.bucket)].push_back(e);
+      }
+      bins_[b].clear();
+    }
+    out.clear();
+    out.swap(bins_[0]);
+    size_ -= out.size();
+    return last_;
+  }
+
+ private:
+  std::size_t bin_of(Index bucket) const {
+    if (bucket == last_) return 0;
+    return static_cast<std::size_t>(64 - std::countl_zero(bucket ^ last_));
+  }
+
+  std::array<std::vector<BucketEntry>, 65> bins_;
+  Index last_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// `pending[v]` when v has no live queue entry.
+constexpr Index kIdle = std::numeric_limits<Index>::max();
+/// `pending[v]` when v is in the current bucket's settled list S.
+constexpr Index kSettled = kIdle - 1;
+
+/// Work buffers for the fused kernel, parked in the executing grb::Context
+/// so repeated runs (benchmark reps, multi-source batches, server workers)
+/// reuse capacity instead of reallocating.  The distance vector t is
+/// excluded: it is moved into the result.
 struct FusedWorkspace {
   std::vector<double> treq;
-  std::vector<unsigned char> tb;
-  std::vector<unsigned char> s;
+  /// Per vertex: the bucket of its one live queue entry, kIdle or kSettled.
+  std::vector<Index> pending;
   std::vector<Index> frontier;
   std::vector<Index> touched;
+  std::vector<Index> settled;
+  std::vector<BucketEntry> taken;
+  BucketQueue queue;
 };
 
 }  // namespace
@@ -39,56 +130,60 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
   const auto& split = plan.light_heavy();
   SsspStats stats;  // setup_seconds stays 0: the plan paid it once
 
-  // Dense work vectors.  Absent == infinity for t/tReq; tb/s are the
-  // characteristic vectors of tB_i and S.
+  // The only O(|V|) work of a query: the dense distance and request
+  // vectors (absent == infinity) and the queue-entry markers.
   auto& ws = ctx.get<FusedWorkspace>();
   std::vector<double> t(n, kInfDist);
   auto& treq = ws.treq;
   treq.assign(n, kInfDist);
-  auto& tb = ws.tb;
-  tb.assign(n, 0);
-  auto& s = ws.s;
-  s.assign(n, 0);
-  auto& frontier = ws.frontier;  // indices with tb set (bucket members)
+  auto& pending = ws.pending;
+  pending.assign(n, kIdle);
+  auto& frontier = ws.frontier;  // tB_i as a list
   frontier.clear();
   auto& touched = ws.touched;    // indices where treq got a request
   touched.clear();
+  auto& settled = ws.settled;    // S as a list, each vertex once
+  auto& taken = ws.taken;
+  auto& queue = ws.queue;
+  queue.clear();
+
+  // Queues w under the bucket of its improved distance d.  The marker
+  // change makes any older entry for w stale; an entry already in that
+  // bucket is kept, since the frontier reads t[w] when the bucket is taken.
+  auto enqueue = [&](Index w, double d) {
+    const Index b = bucket_of(d, delta);
+    if (pending[w] != b) {
+      pending[w] = b;
+      queue.push(b, w);
+    }
+  };
 
   t[source] = 0.0;
-
-  Index i = 0;
-  // Outer loop: while some reached vertex still has t >= i*delta.
-  // `remaining` counts reached vertices with t >= i*delta; recomputed in the
-  // fused per-bucket pass below.
-  auto count_remaining = [&](double lo) {
-    Index count = 0;
-    for (Index v = 0; v < n; ++v) {
-      if (t[v] != kInfDist && t[v] >= lo) ++count;
-    }
-    return count;
-  };
+  enqueue(source, 0.0);
 
   // Lifecycle: poll before the loop (deadline 0 ⇒ init-state upper bounds)
   // and at every bucket boundary.  t is min-only, so any cut is a valid
   // upper bound.
   SsspStatus status = poll_control(exec.control);
 
-  while (status == SsspStatus::kComplete &&
-         count_remaining(static_cast<double>(i) * delta) > 0) {
+  while (status == SsspStatus::kComplete && !queue.empty()) {
+    // Bucket construction: take the least pending bucket and keep its live
+    // entries.  When all of them went stale the bucket is empty; skip it.
+    auto vec_start = Clock::now();
+    const Index i = queue.take_min(taken);
+    frontier.clear();
+    for (const BucketEntry& e : taken) {
+      if (pending[e.vertex] != e.bucket) continue;
+      pending[e.vertex] = kSettled;
+      frontier.push_back(e.vertex);
+    }
+    settled.assign(frontier.begin(), frontier.end());
+    if (exec.profile) stats.vector_seconds += seconds_since(vec_start);
+    if (frontier.empty()) continue;
+
     testing::fault_point("fused/round");
     ++stats.outer_iterations;
-    const double lo = static_cast<double>(i) * delta;
-    const double hi = lo + delta;
-
-    // Fused bucket construction: tb and the frontier in one pass.
-    auto vec_start = Clock::now();
-    frontier.clear();
-    for (Index v = 0; v < n; ++v) {
-      const bool in_bucket = (t[v] >= lo && t[v] < hi);
-      tb[v] = in_bucket;
-      if (in_bucket) frontier.push_back(v);
-    }
-    if (exec.profile) stats.vector_seconds += seconds_since(vec_start);
+    const double hi = bucket_upper(i, delta);
 
     while (!frontier.empty()) {
       ++stats.light_phases;
@@ -111,21 +206,26 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
       if (exec.profile) stats.light_seconds += seconds_since(light_start);
 
       // Fusion 2: S |= tB_i;  tB_i' = in-range(tReq) ∘ (tReq < t);
-      // t = min(t, tReq) — one pass over the touched set plus the frontier.
+      // t = min(t, tReq) — one pass over the touched set.  A request is
+      // never below the bucket (light weights are positive), so in-range
+      // is tReq < hi; an improvement beyond it is queued for its bucket.
       vec_start = Clock::now();
-      for (Index v : frontier) s[v] = 1;
       frontier.clear();
       for (Index w : touched) {
         const double req = treq[w];
-        const bool improved = req < t[w];
-        if (improved) {
+        if (req < t[w]) {
           t[w] = req;
-          if (req >= lo && req < hi) {
+          if (req < hi) {
             // (Re)introduce into the bucket.  `touched` holds each vertex at
             // most once per phase (treq acts as the min-combining
-            // accumulator), so no dedup test is needed here.
+            // accumulator), so the frontier needs no dedup test.
             frontier.push_back(w);
-            tb[w] = 1;
+            if (pending[w] != kSettled) {
+              pending[w] = kSettled;
+              settled.push_back(w);
+            }
+          } else {
+            enqueue(w, req);
           }
         }
         treq[w] = kInfDist;  // reset the request buffer for the next phase
@@ -137,19 +237,22 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
     // Heavy relaxation from all vertices settled in this bucket:
     // tReq = A_Hᵀ (t ∘ S); t = min(t, tReq), fused into one traversal.
     auto heavy_start = Clock::now();
-    for (Index v = 0; v < n; ++v) {
-      if (!s[v]) continue;
+    for (Index v : settled) {
+      // Leave S.  A marker that is no longer kSettled means an earlier
+      // heavy edge in this loop already queued v again.
+      if (pending[v] == kSettled) pending[v] = kIdle;
       const double tv = t[v];
       for (Index k = split.heavy_ptr[v]; k < split.heavy_ptr[v + 1]; ++k) {
         const Index w = split.heavy_ind[k];
         const double cand = tv + split.heavy_val[k];
-        if (cand < t[w]) t[w] = cand;
+        if (cand < t[w]) {
+          t[w] = cand;
+          enqueue(w, cand);
+        }
       }
-      s[v] = 0;  // clear S for the next bucket while we are here
     }
     if (exec.profile) stats.heavy_seconds += seconds_since(heavy_start);
 
-    ++i;
     status = poll_control(exec.control);
   }
 

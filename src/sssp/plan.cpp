@@ -116,6 +116,22 @@ LightHeavySplit split_light_heavy(const grb::Matrix<double>& a, double delta) {
 
 }  // namespace detail
 
+void check_plan_delta(double delta, const PlanStats& stats) {
+  if (!(std::isfinite(delta) && delta > 0.0)) {
+    throw grb::InvalidValue("sssp: invalid delta " + std::to_string(delta) +
+                            " (must be finite and positive)");
+  }
+  // max_w/Δ first: (n − 1)·max_w alone can overflow where the ratio
+  // cannot.  An overflow to +inf still fails the bound.
+  const double buckets = static_cast<double>(stats.num_vertices - 1) *
+                         (stats.max_weight / delta);
+  if (!(buckets < 0x1p53)) {
+    throw grb::InvalidValue(
+        "sssp: invalid delta " + std::to_string(delta) +
+        " (too small: (n - 1) * max_weight / delta reaches 2^53 buckets)");
+  }
+}
+
 GraphPlan::GraphPlan(std::shared_ptr<const grb::Matrix<double>> a,
                      double delta)
     : a_(std::move(a)), lazy_(std::make_unique<Lazy>()) {
@@ -218,8 +234,9 @@ void GraphPlan::init(double delta) {
   stats_.max_weight = max_w;
   stats_.min_positive_weight = min_pos;
 
-  delta_was_auto_ = !(delta > 0.0);
+  delta_was_auto_ = std::isfinite(delta) && delta <= 0.0;
   delta_ = delta_was_auto_ ? auto_delta(stats_) : delta;
+  check_plan_delta(delta_, stats_);
   scan_seconds_ = seconds_since(start);
 #ifdef DSG_AUDIT_INVARIANTS
   // The construction scan just walked the whole matrix, so the extra

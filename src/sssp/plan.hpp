@@ -11,8 +11,9 @@
 //   - construction scans the matrix once: validates non-negative weights
 //     (throws grb::InvalidValue otherwise) and collects the degree/weight
 //     statistics that drive the auto-Δ heuristic;
-//   - Δ is fixed at construction — pass kAutoDelta (or any value <= 0) to
-//     let the Meyer–Sanders-style heuristic pick it from the stats;
+//   - Δ is fixed at construction — pass kAutoDelta (or any finite value
+//     <= 0) to let the Meyer–Sanders-style heuristic pick it from the
+//     stats; check_plan_delta rejects a Δ no core can run at;
 //   - the light/heavy CSR split, its grb::Matrix form, and any
 //     algorithm-specific derived state (e.g. the C-API matrix handles) are
 //     materialized lazily through a mutex-guarded type-keyed cache, so a
@@ -95,6 +96,13 @@ struct PlanStats {
   double max_weight = 0.0;         ///< 0 when the graph has no edges
   double min_positive_weight = 0.0;  ///< 0 when no positive weight exists
 };
+
+/// Throws grb::InvalidValue unless Δ is a bucket width every core can run
+/// at: finite, positive, and wide enough that (n − 1)·max_w/Δ < 2^53.  A
+/// shortest path has at most n − 1 edges, so the bound keeps every bucket
+/// index ⌊t/Δ⌋ an exact integer in both double and Index.  GraphPlan
+/// construction and GraphPlan::load both apply it.
+void check_plan_delta(double delta, const PlanStats& stats);
 
 class GraphPlan {
  public:

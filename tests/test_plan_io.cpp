@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -321,6 +322,28 @@ TEST_F(PlanIoReject, ForgedZeroDelta) {
   patch(56, 0.0);
   restamp_checksum();
   expect_rejected("invalid delta");
+}
+
+TEST_F(PlanIoReject, ForgedInfiniteDelta) {
+  patch(56, std::numeric_limits<double>::infinity());
+  restamp_checksum();
+  expect_rejected("invalid delta");
+}
+
+TEST_F(PlanIoReject, ForgedTinyDelta) {
+  // Finite and positive, but (n − 1)·max_w/Δ = 4·10/1e-300 buckets: the
+  // same shared check that GraphPlan construction runs.
+  patch(56, 1e-300);
+  restamp_checksum();
+  expect_rejected("invalid delta");
+}
+
+TEST_F(PlanIoReject, ForgedMaxWeight) {
+  // Δ is checked against max_weight, so a forged smaller one must not
+  // stand in for the stored weights (diamond's largest is 10).
+  patch(72, 1.0);
+  restamp_checksum();
+  expect_rejected("header max_weight disagrees");
 }
 
 TEST_F(PlanIoReject, ForgedNegativeWeight) {

@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "graph/generators.hpp"
+#include "graph/weights.hpp"
 #include "sssp/solver.hpp"
 #include "test_support.hpp"
 #include "testing/fault_injection.hpp"
@@ -181,16 +183,28 @@ TEST(QueryLifecycle, SolverIsReusableAfterInterruption) {
 // (fault_point_hits is schedule-independent evidence that the solve is
 // mid-run).  The run must come back kCancelled — i.e. the cancel was
 // observed at a round boundary, not after running to completion — with
-// valid partial upper bounds.
+// valid partial upper bounds.  The cancel only wins reliably when the run
+// has many delayed rounds left after the first, so each case first checks
+// that an uncancelled run takes many rounds.
 
 struct MidRunCase {
   Algorithm algorithm;
   const char* round_point;  // the fault point to delay and watch
+  dsg::EdgeList graph = dsg::test::path_graph(2000);
+  Index rho = 0;  // kRhoStepping batch target (0 = its default)
 };
 
 void check_mid_run_cancel(const MidRunCase& c) {
-  const auto g = dsg::test::path_graph(2000);
-  const auto a = g.to_matrix();
+  const auto a = c.graph.to_matrix();
+  const auto oracle = dsg::dijkstra(a, 0);
+  SolverOptions options;
+  options.algorithm = c.algorithm;
+  options.delta = 1.0;
+  options.rho = c.rho;
+  SsspSolver solver(a, options);
+  ASSERT_GE(solver.solve(0).stats.outer_iterations, 50u)
+      << "too few rounds for the cancel to land mid-run";
+
   dsg::testing::FaultSpec slow;
   slow.point = c.round_point;
   slow.one_in = 1;
@@ -198,7 +212,6 @@ void check_mid_run_cancel(const MidRunCase& c) {
   slow.delay = std::chrono::microseconds(500);
   dsg::testing::ScopedFaults faults(/*seed=*/7, {slow});
 
-  SsspSolver solver = make_solver(c.algorithm, g, /*delta=*/1.0);
   QueryControl control;
   std::thread watcher([&] {
     while (dsg::testing::fault_point_hits(c.round_point) < 1) {
@@ -217,9 +230,16 @@ void check_mid_run_cancel(const MidRunCase& c) {
   control.reset();
   SsspResult exact = solver.solve(0, control);
   EXPECT_EQ(exact.status, SsspStatus::kComplete);
-  dsg::test::expect_distances(exact.dist,
-                              dsg::test::path_distances_from_0(2000),
-                              "after mid-run cancel");
+  dsg::test::expect_distances(exact.dist, oracle.dist, "after mid-run cancel");
+}
+
+/// A weighted 40x40 grid: its frontier holds dozens of vertices, far past
+/// a batch target of 8, so rho-stepping needs over a hundred rounds.  (On
+/// a path the frontier never exceeds ρ and the whole solve is one round.)
+dsg::EdgeList wide_frontier_graph() {
+  dsg::EdgeList g = dsg::generate_grid2d(40, 40);
+  dsg::assign_uniform_weights(g, 1.0, 2.0, /*seed=*/11);
+  return g;
 }
 
 #if defined(DSG_HAVE_OPENMP)
@@ -229,7 +249,10 @@ TEST(QueryLifecycle, MidRunCancelOpenmp) {
 #endif
 
 TEST(QueryLifecycle, MidRunCancelRhoStepping) {
-  check_mid_run_cancel({Algorithm::kRhoStepping, "async/coordinate"});
+  MidRunCase c{Algorithm::kRhoStepping, "async/coordinate"};
+  c.graph = wide_frontier_graph();
+  c.rho = 8;
+  check_mid_run_cancel(c);
 }
 
 TEST(QueryLifecycle, MidRunCancelDeltaSteppingAsync) {

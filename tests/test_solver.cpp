@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "capi/graphblas.h"
@@ -214,6 +216,32 @@ TEST(GraphPlan, ValidatesAtConstructionNotSolve) {
   EXPECT_THROW(SsspSolver{empty}, grb::InvalidValue);
 }
 
+TEST(GraphPlan, RejectsDeltaNoCoreCanRun) {
+  // At Δ = +inf every bucket bound is 0·∞ = NaN, so a bucketed core would
+  // report kComplete with nothing but the source reached.
+  const auto a = weighted_test_graph(300, 900, 5);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {kInf, -kInf, kNaN}) {
+    SCOPED_TRACE("delta=" + std::to_string(bad));
+    SolverOptions options;
+    options.delta = bad;
+    EXPECT_THROW(SsspSolver(a, options), grb::InvalidValue);
+    EXPECT_THROW(GraphPlan(a, bad), grb::InvalidValue);
+  }
+
+  // (n − 1)·max_w/Δ must stay below 2^53 so every bucket index is exact.
+  GraphPlan reference(a);
+  const PlanStats& stats = reference.stats();
+  const double limit = static_cast<double>(stats.num_vertices - 1) *
+                       stats.max_weight / 0x1p53;
+  SolverOptions tiny;
+  tiny.delta = limit / 2;
+  EXPECT_THROW(SsspSolver(a, tiny), grb::InvalidValue);
+  EXPECT_NO_THROW(check_plan_delta(limit * 2, stats));
+  EXPECT_THROW(check_plan_delta(0.0, stats), grb::InvalidValue);
+}
+
 TEST(GraphPlan, AutoDeltaFollowsDegreeStats) {
   const auto a = weighted_test_graph(300, 900, 5);
   SsspSolver solver(a);  // delta = kAutoDelta
@@ -336,6 +364,23 @@ TEST_F(DsgSolverCapi, AutoDeltaSentinel) {
   ASSERT_EQ(DsgSolver_delta(&delta, solver), GrB_SUCCESS);
   EXPECT_GT(delta, 0.0);
   DsgSolver_free(&solver);
+}
+
+TEST_F(DsgSolverCapi, RejectsNonFiniteAndTinyDelta) {
+  // diamond: n = 5, max weight 10, so Δ must exceed 4 * 10 / 2^53.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {kInf, kNaN, 1e-300}) {
+    SCOPED_TRACE("delta=" + std::to_string(bad));
+    DsgSolver solver = nullptr;
+    EXPECT_EQ(DsgSolver_new(&solver, a_, DSG_SSSP_FUSED, bad),
+              GrB_INVALID_VALUE);
+    EXPECT_EQ(solver, nullptr);
+    DsgServer server = nullptr;
+    EXPECT_EQ(DsgServer_new(&server, a_, DSG_SSSP_FUSED, bad, 1, 4, 0),
+              GrB_INVALID_VALUE);
+    EXPECT_EQ(server, nullptr);
+  }
 }
 
 TEST_F(DsgSolverCapi, ErrorCodesNotExceptions) {

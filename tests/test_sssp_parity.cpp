@@ -4,8 +4,14 @@
 // evaluation.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "bench_support/suite.hpp"
+#include "graph/generators.hpp"
 #include "graph/stats.hpp"
+#include "graph/weights.hpp"
+#include "sssp/solver.hpp"
 #include "test_support.hpp"
 
 namespace {
@@ -110,6 +116,88 @@ TEST(SuiteParity, UnitWeightDeltaOneBucketsEqualBfsDepth) {
     dsg::DeltaSteppingOptions opt;
     auto r = dsg::delta_stepping_fused(g.to_matrix(), 0, opt);
     EXPECT_EQ(r.stats.outer_iterations, ecc + 1) << entry.name;
+  }
+}
+
+// --- Bucket counters: deterministic, no timing. ------------------------------
+
+dsg::SsspResult solve_with(dsg::sssp::Algorithm algorithm,
+                           const grb::Matrix<double>& a, double delta,
+                           Index source) {
+  dsg::sssp::SolverOptions options;
+  options.algorithm = algorithm;
+  options.delta = delta;
+  dsg::sssp::SsspSolver solver(a, options);
+  return solver.solve(source);
+}
+
+TEST(BucketCounters, TinyDeltaVisitsOnlyNonEmptyBuckets) {
+  // A 30x30 unit grid from a corner has 59 distinct distances 0..58.  At
+  // Δ = 1e-4 they span 580,001 bucket indices; the cores that skip empty
+  // buckets must process one bucket per distinct distance, far fewer than
+  // the 900 reached vertices.
+  const auto a = dsg::generate_grid2d(30, 30).to_matrix();
+  const auto oracle = dsg::dijkstra(a, 0);
+  for (const double delta : {1e-3, 1e-4}) {
+    for (const auto algorithm :
+         {dsg::sssp::Algorithm::kFused, dsg::sssp::Algorithm::kBuckets}) {
+      SCOPED_TRACE("delta=" + std::to_string(delta) + " algorithm=" +
+                   dsg::sssp::algorithm_info(algorithm).name);
+      const auto r = solve_with(algorithm, a, delta, 0);
+      EXPECT_EQ(r.dist, oracle.dist);
+      EXPECT_EQ(r.stats.outer_iterations, 59u);
+    }
+  }
+}
+
+TEST(BucketCounters, FusedMatchesGraphblasAtInexactDeltas) {
+  // Both cores must put every vertex in the same bucket, so distances,
+  // light phases and relax requests agree; fused only skips the empty
+  // buckets.  Real weights spread distances across each bucket, and Δ =
+  // 0.1, 0.3 and 1/3 are not exact in binary.
+  auto g = dsg::generate_grid2d(40, 40);
+  dsg::assign_uniform_weights(g, 0.05, 3.0, /*seed=*/2024);
+  const auto a = g.to_matrix();
+  const Index source = 823;  // interior: buckets fill from all sides
+  for (const double delta : {0.1, 0.3, 1.0 / 3.0, 1e-3}) {
+    SCOPED_TRACE("delta=" + std::to_string(delta));
+    const auto fused =
+        solve_with(dsg::sssp::Algorithm::kFused, a, delta, source);
+    const auto graphblas =
+        solve_with(dsg::sssp::Algorithm::kGraphblas, a, delta, source);
+    EXPECT_EQ(fused.dist, graphblas.dist);
+    EXPECT_EQ(fused.stats.light_phases, graphblas.stats.light_phases);
+    EXPECT_EQ(fused.stats.relax_requests, graphblas.stats.relax_requests);
+    EXPECT_LE(fused.stats.outer_iterations, graphblas.stats.outer_iterations);
+  }
+}
+
+TEST(BucketCounters, FusedHandlesDistancesOnBucketEdges) {
+  // On a path whose weight equals Δ every distance lies on a bucket edge,
+  // where fl(i·Δ), fl(i·Δ) + Δ and the running sums round apart.  The
+  // fused core must still reach every vertex with Dijkstra's exact sums,
+  // and process one bucket per distinct bucket index: the least i with
+  // t < i·Δ + Δ, found here by a plain scan.
+  constexpr Index n = 400;
+  for (const double delta : {0.1, 0.3, 1.0 / 3.0, 0.7}) {
+    SCOPED_TRACE("delta=" + std::to_string(delta));
+    dsg::EdgeList g(n);
+    for (Index v = 0; v + 1 < n; ++v) {
+      g.add_edge(v, v + 1, delta);
+      g.add_edge(v + 1, v, delta);
+    }
+    const auto a = g.to_matrix();
+    const auto oracle = dsg::dijkstra(a, 0);
+    const auto fused = solve_with(dsg::sssp::Algorithm::kFused, a, delta, 0);
+    EXPECT_EQ(fused.dist, oracle.dist);
+
+    std::set<Index> buckets;
+    Index i = 0;
+    for (const double t : oracle.dist) {  // ascending along the path
+      while (!(t < static_cast<double>(i) * delta + delta)) ++i;
+      buckets.insert(i);
+    }
+    EXPECT_EQ(fused.stats.outer_iterations, buckets.size());
   }
 }
 
