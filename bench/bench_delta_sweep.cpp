@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
         [&] { return dijkstra(*a, 0); }, *a, 0, reps);
     const double bf_ms = bench::time_best_ms(
         [&] { return bellman_ford(*a, 0); }, *a, 0, reps);
-    table.add_footer("dijkstra (binary heap): " + format_ms(dij_ms));
+    table.add_footer("dijkstra (radix heap): " + format_ms(dij_ms));
     table.add_footer("bellman-ford (worklist): " + format_ms(bf_ms));
     table.add_footer("auto-delta heuristic picked " +
                      format_double(auto_delta, 3) +

@@ -32,6 +32,11 @@
 #                  operations layer must keep these faster-or-equal.
 #   delta_sweep    bench_delta_sweep: per-graph milliseconds across the Δ
 #                  ablation grid, plus the auto-Δ row.
+#   baselines      bench_baselines: warm per-query milliseconds of every
+#                  registry algorithm per graph at Δ = 1, plus the one-time
+#                  split_plan_ms — the per-core cost auto_algorithm's
+#                  policy rests on.  Record only, no gate.  Additive key —
+#                  does not bump the schema.
 #   spmspv         bench_spmspv table 1: sparse-frontier vxm, workspace
 #                  reuse vs per-call reset (cold_ms / reused_ms / speedup
 #                  per frontier size; CI gate >= 5x at frontier=16).
@@ -101,7 +106,7 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DDSG_BUILD_TESTS=OFF -DDSG_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target bench_fig3_fusion bench_delta_sweep bench_spmspv \
-           bench_solver_batch bench_fig4_scaling
+           bench_solver_batch bench_fig4_scaling bench_baselines
 
 OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR"' EXIT
@@ -112,6 +117,7 @@ if [[ "$QUICK" -eq 1 ]]; then
   SPMSPV_ARGS=(--n 65536 --deg 4)
   BATCH_ARGS=(--graphs 3)
   FIG4_ARGS=(--graphs 3)
+  BASELINES_ARGS=(--graphs 3)
 else
   FIG3_ARGS=(--graphs 6)
   SWEEP_ARGS=(--graphs 3)
@@ -119,12 +125,15 @@ else
   BATCH_ARGS=(--graphs 6)
   # 6 graphs reaches grid-128x128, the first async-scaling gate graph.
   FIG4_ARGS=(--graphs 6)
+  BASELINES_ARGS=()  # the whole suite, up to grid-512x512 and rmat-16
 fi
 
 "$BUILD_DIR/bench/bench_fig3_fusion" "${FIG3_ARGS[@]}" --csv \
   > "$OUT_DIR/fig3.csv"
 "$BUILD_DIR/bench/bench_delta_sweep" "${SWEEP_ARGS[@]}" --csv \
   > "$OUT_DIR/sweep.csv"
+"$BUILD_DIR/bench/bench_baselines" "${BASELINES_ARGS[@]}" --csv \
+  > "$OUT_DIR/baselines.csv"
 # --check asserts the dense-vs-sparse bit-identity at every size and (at
 # full scale) the two perf gates: workspace reuse >= 5x, dense-path
 # pointwise geomean >= 2x.
@@ -211,6 +220,9 @@ doc = {
     },
     "fig3_fusion": read_table(os.path.join(out_dir, "fig3.csv")),
     "delta_sweep": read_table(os.path.join(out_dir, "sweep.csv")),
+    # Warm per-query cost of every registry core (see the `baselines`
+    # schema note above).
+    "baselines": read_table(os.path.join(out_dir, "baselines.csv")),
     # Sparse-frontier vxm workspace reuse, plus the point-wise ops measured
     # with the vector pinned sparse vs pinned dense (see scripts header for
     # the full schema description).

@@ -220,7 +220,7 @@ typedef enum {
   DSG_SSSP_FUSED = 4,            /* fused C implementation (default)       */
   DSG_SSSP_OPENMP = 5,           /* task-parallel fused (Sec. VI-C)        */
   DSG_SSSP_BELLMAN_FORD = 6,     /* SPFA worklist baseline                 */
-  DSG_SSSP_DIJKSTRA = 7,         /* binary-heap baseline                   */
+  DSG_SSSP_DIJKSTRA = 7,         /* radix-heap baseline                    */
   /* The lock-free asynchronous engines.  Distances are bit-identical to
    * the deterministic variants for any thread count (the unique fp
    * min-plus fixed point), but the relaxation *schedule* — and any stats

@@ -338,7 +338,7 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
   // below before the plan is handed out.
   double max_w = 0.0;
   for (const double w : val) {
-    if (!(std::isfinite(w) && w >= 0.0)) {
+    if (!valid_edge_weight(w)) {
       reject(origin, "non-finite or negative edge weight");
     }
     max_w = std::max(max_w, w);

@@ -1,6 +1,7 @@
 // common.hpp — shared types for the SSSP algorithm family.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -73,13 +74,23 @@ inline void check_sssp_inputs(const grb::Matrix<double>& a, Index source) {
   grb::detail::check_index(source, a.nrows(), "sssp: source");
 }
 
-/// Throws if any stored weight is negative (delta-stepping and Dijkstra
-/// require non-negative weights); returns the max weight.
+/// The one edge-weight rule of every SSSP entry point and of plan loading:
+/// finite and >= 0.  A plain (w < 0) test is not enough: NaN compares false
+/// against everything, so it waves NaN weights into the relaxation loop,
+/// where they poison or silently drop paths, and +inf weights break the
+/// Δ-bucket arithmetic.
+inline bool valid_edge_weight(double w) {
+  return std::isfinite(w) && w >= 0.0;
+}
+
+/// Throws unless every stored weight passes valid_edge_weight
+/// (delta-stepping and Dijkstra require finite non-negative weights);
+/// returns the max weight.
 inline double check_nonnegative_weights(const grb::Matrix<double>& a) {
   double max_w = 0.0;
   a.for_each([&](Index, Index, const double& w) {
-    if (w < 0.0) {
-      throw grb::InvalidValue("sssp: negative edge weight " +
+    if (!valid_edge_weight(w)) {
+      throw grb::InvalidValue("sssp: non-finite or negative edge weight " +
                               std::to_string(w));
     }
     if (w > max_w) max_w = w;
@@ -87,9 +98,10 @@ inline double check_nonnegative_weights(const grb::Matrix<double>& a) {
   return max_w;
 }
 
+/// Throws unless Δ is finite and > 0.
 inline void check_delta(double delta) {
-  if (!(delta > 0.0)) {
-    throw grb::InvalidValue("sssp: delta must be > 0, got " +
+  if (!(std::isfinite(delta) && delta > 0.0)) {
+    throw grb::InvalidValue("sssp: delta must be finite and > 0, got " +
                             std::to_string(delta));
   }
 }

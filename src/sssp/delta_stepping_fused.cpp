@@ -1,14 +1,12 @@
 #include "sssp/delta_stepping_fused.hpp"
 
-#include <algorithm>
-#include <array>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "graphblas/context.hpp"
+#include "sssp/radix_heap.hpp"
 #include "testing/fault_injection.hpp"
 
 namespace dsg {
@@ -22,83 +20,22 @@ double seconds_since(Clock::time_point start) {
 }
 
 /// Upper edge of bucket i, evaluated exactly as the bucket test
-/// i·Δ <= t < i·Δ + Δ of the GraphBLAS variants evaluates it.
+/// i·Δ <= t < (i+1)·Δ of the GraphBLAS variants evaluates it, so bucket
+/// i + 1 starts where bucket i ends.
 double bucket_upper(Index i, double delta) {
-  const double lo = static_cast<double>(i) * delta;
-  return lo + delta;
+  return static_cast<double>(i + 1) * delta;
 }
 
 /// The bucket that holds tentative distance t: the least i with
-/// t < i·Δ + Δ.  Wherever the bucket test holds for some i, this is the
-/// least such i.  ⌊t/Δ⌋ can be one off, because a Δ such as 0.1 is not
-/// exact in binary; the two loops correct it.  GraphPlan keeps t/Δ below
-/// 2^53, so the cast is exact.
+/// t < (i+1)·Δ, the one i whose bucket test holds.  ⌊t/Δ⌋ can be one off,
+/// because a Δ such as 0.1 is not exact in binary; the two loops correct
+/// it.  GraphPlan keeps t/Δ below 2^53, so the cast is exact.
 Index bucket_of(double t, double delta) {
   auto i = static_cast<Index>(std::floor(t / delta));
   while (i > 0 && t < bucket_upper(i - 1, delta)) --i;
   while (!(t < bucket_upper(i, delta))) ++i;
   return i;
 }
-
-struct BucketEntry {
-  Index bucket;
-  Index vertex;
-};
-
-/// The lazy bucket queue: a radix heap of (bucket, vertex) entries.  A
-/// pushed bucket is never below the last bucket taken, so an entry lives in
-/// the bin named by the highest bit in which its bucket differs from that
-/// one.  push is O(1); take_min finds the next non-empty bucket in one
-/// sweep of the lowest non-empty bin, and every entry moves to a lower bin
-/// at most 64 times.  Storage is the pending entries only, whatever
-/// max_w/Δ is.
-class BucketQueue {
- public:
-  void clear() {
-    for (auto& bin : bins_) bin.clear();
-    last_ = 0;
-    size_ = 0;
-  }
-
-  bool empty() const { return size_ == 0; }
-
-  void push(Index bucket, Index vertex) {
-    bins_[bin_of(bucket)].push_back({bucket, vertex});
-    ++size_;
-  }
-
-  /// Moves every entry of the least pending bucket into `out` (replacing
-  /// its contents) and returns that bucket.  Precondition: !empty().
-  Index take_min(std::vector<BucketEntry>& out) {
-    if (bins_[0].empty()) {
-      std::size_t b = 1;
-      while (bins_[b].empty()) ++b;
-      Index least = bins_[b].front().bucket;
-      for (const BucketEntry& e : bins_[b]) {
-        least = std::min(least, e.bucket);
-      }
-      last_ = least;
-      for (const BucketEntry& e : bins_[b]) {
-        bins_[bin_of(e.bucket)].push_back(e);
-      }
-      bins_[b].clear();
-    }
-    out.clear();
-    out.swap(bins_[0]);
-    size_ -= out.size();
-    return last_;
-  }
-
- private:
-  std::size_t bin_of(Index bucket) const {
-    if (bucket == last_) return 0;
-    return static_cast<std::size_t>(64 - std::countl_zero(bucket ^ last_));
-  }
-
-  std::array<std::vector<BucketEntry>, 65> bins_;
-  Index last_ = 0;
-  std::size_t size_ = 0;
-};
 
 /// `pending[v]` when v has no live queue entry.
 constexpr Index kIdle = std::numeric_limits<Index>::max();
@@ -116,8 +53,10 @@ struct FusedWorkspace {
   std::vector<Index> frontier;
   std::vector<Index> touched;
   std::vector<Index> settled;
-  std::vector<BucketEntry> taken;
-  BucketQueue queue;
+  std::vector<detail::RadixEntry> taken;
+  /// The lazy bucket queue: (bucket, vertex) entries, stale ones dropped
+  /// when taken.  Storage is the pending entries only, whatever max_w/Δ is.
+  detail::RadixHeap queue;
 };
 
 }  // namespace
@@ -172,10 +111,10 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
     auto vec_start = Clock::now();
     const Index i = queue.take_min(taken);
     frontier.clear();
-    for (const BucketEntry& e : taken) {
-      if (pending[e.vertex] != e.bucket) continue;
-      pending[e.vertex] = kSettled;
-      frontier.push_back(e.vertex);
+    for (const detail::RadixEntry& e : taken) {
+      if (pending[e.value] != e.key) continue;
+      pending[e.value] = kSettled;
+      frontier.push_back(e.value);
     }
     settled.assign(frontier.begin(), frontier.end());
     if (exec.profile) stats.vector_seconds += seconds_since(vec_start);

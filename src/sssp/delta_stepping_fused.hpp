@@ -16,15 +16,14 @@
 // entry; nothing scales with |V| × buckets or with max_dist/Δ, and
 // stats.outer_iterations counts non-empty buckets only.
 //
-// A vertex's bucket is the least i with t < i·Δ + Δ, rounded as the
-// GraphBLAS variant rounds its test i·Δ <= t < i·Δ + Δ.  Rounding can make
-// adjacent ranges overlap or leave a gap between them.  At an overlap the
-// GraphBLAS variant processes the vertex in both buckets and this core in
-// the first, which changes phase counts but not distances.  A t in a gap
-// is never expanded there; here it goes to the later bucket.  Elsewhere
-// the distances, light phases and relax requests match that variant's bit
-// for bit.  Fig. 3 reports this implementation at ~3.7x over the unfused
-// GraphBLAS version.
+// A vertex's bucket is the least i with t < (i+1)·Δ, rounded as the
+// GraphBLAS variants round their test i·Δ <= t < (i+1)·Δ, so adjacent
+// ranges meet with no gap and no overlap.  A heavy request can still round
+// into the bucket just processed (fl(t + w) < fl((i+1)·Δ) with w barely
+// above Δ); this core takes that bucket again, while the GraphBLAS
+// variants never expand such a vertex.  Elsewhere the distances, light
+// phases and relax requests match those variants' bit for bit.  Fig. 3
+// reports this implementation at ~3.7x over the unfused GraphBLAS version.
 #pragma once
 
 #include "graphblas/matrix.hpp"

@@ -56,7 +56,7 @@ SsspResult run_graphblas_loop(const grb::Matrix<double>& al,
     testing::fault_point("graphblas/round");
     ++stats.outer_iterations;
     const double lo = static_cast<double>(i) * delta;
-    const double hi = lo + delta;
+    const double hi = static_cast<double>(i + 1) * delta;
 
     // s = 0                                         (Fig. 2, line 32)
     s.clear();

@@ -279,7 +279,7 @@ SsspResult delta_stepping_openmp_impl(
       testing::fault_point("openmp/round");
       ++stats.outer_iterations;
       const double lo = static_cast<double>(i) * delta;
-      const double hi = lo + delta;
+      const double hi = static_cast<double>(i + 1) * delta;
 
       // Bucket construction: evenly-sized tasks over the t vector.
       auto vec_start = Clock::now();

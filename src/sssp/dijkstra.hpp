@@ -1,7 +1,9 @@
-// dijkstra.hpp — Dijkstra's algorithm with a binary heap, the classic
-// priority-queue SSSP the paper contrasts with delta-stepping (Sec. VII:
-// with Δ = min edge weight, delta-stepping degenerates to Dijkstra-like
-// settling order).  Serves as the primary correctness oracle.
+// dijkstra.hpp — Dijkstra's algorithm, the classic priority-queue SSSP the
+// paper contrasts with delta-stepping (Sec. VII: with Δ = min edge weight,
+// delta-stepping degenerates to Dijkstra-like settling order).  Serves as
+// the primary correctness oracle.  The queue is the monotone radix heap of
+// radix_heap.hpp, keyed by the bit pattern of the tentative distance, and
+// settles every vertex of the least distance as one batch.
 #pragma once
 
 #include "graphblas/matrix.hpp"
@@ -14,11 +16,13 @@ class Context;
 
 namespace dsg {
 
-/// Binary-heap Dijkstra from `source`; weights must be non-negative.
+/// Radix-heap Dijkstra from `source`; weights must be finite and
+/// non-negative.  Uses a local heap workspace.
 SsspResult dijkstra(const grb::Matrix<double>& a, Index source);
 
 /// Plan-based entry (solver registry): skips the per-call O(|E|)
-/// non-negativity re-validation — the plan did it once.
+/// weight re-validation — the plan did it once — and keeps the heap
+/// storage in `ctx`, so repeated solves on one Context reuse it.
 SsspResult dijkstra(const GraphPlan& plan, grb::Context& ctx, Index source,
                     const ExecOptions& exec = {});
 

@@ -221,10 +221,7 @@ void GraphPlan::init(double delta) {
   double max_w = 0.0;
   double min_pos = 0.0;
   a.for_each([&](Index, Index, const double& w) {
-    // !(isfinite && >= 0) rather than (w < 0): NaN compares false against
-    // everything, so a plain negativity test waves NaN weights through
-    // into the relaxation loop, where min(NaN, d) poisons distances.
-    if (!(std::isfinite(w) && w >= 0.0)) {
+    if (!valid_edge_weight(w)) {
       throw grb::InvalidValue("sssp: non-finite or negative edge weight " +
                               std::to_string(w));
     }

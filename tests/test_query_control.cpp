@@ -9,6 +9,8 @@
 // meaning "not reached yet".  The oracle is a self-validated Dijkstra.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -277,6 +279,68 @@ TEST(QueryLifecycle, MidRunDeadlineExpiresOnThreadedVariant) {
   SsspResult r = solver.solve(0, control);
   EXPECT_EQ(r.status, SsspStatus::kDeadlineExpired);
   expect_upper_bounds(a, 0, r.dist);
+}
+
+TEST(QueryLifecycle, DijkstraIsExactAfterCutShortRunsOnOneContext) {
+  // dijkstra parks its heap in the Context it runs on.  A run cut short
+  // leaves entries in it, and the next run on that Context must not see
+  // them.
+  const auto a = wide_frontier_graph().to_matrix();  // 1600 vertices
+  const SsspResult oracle = dsg::dijkstra(a, 0);
+  const dsg::GraphPlan plan = dsg::GraphPlan::borrow(a, 1.0);
+  grb::Context ctx;
+  auto expect_exact = [&](const char* after) {
+    SCOPED_TRACE(after);
+    const SsspResult exact = dsg::dijkstra(plan, ctx, 0);
+    EXPECT_EQ(exact.status, SsspStatus::kComplete);
+    EXPECT_EQ(exact.dist, oracle.dist);
+    EXPECT_EQ(exact.stats.outer_iterations, oracle.stats.outer_iterations);
+    EXPECT_EQ(exact.stats.relax_requests, oracle.stats.relax_requests);
+  };
+
+  // Deadline 0: stops before the first settle, the source still queued.
+  QueryControl control;
+  control.set_timeout(0.0);
+  dsg::ExecOptions exec;
+  exec.control = &control;
+  SsspResult r = dsg::dijkstra(plan, ctx, 0, exec);
+  EXPECT_EQ(r.status, SsspStatus::kDeadlineExpired);
+  EXPECT_EQ(r.stats.outer_iterations, 0u);
+  expect_exact("after deadline 0");
+
+  // Cancel mid-run: the first settle sleeps until the watcher has
+  // cancelled, and the poll at settle 1024 observes it.
+  control.reset();
+  {
+    dsg::testing::FaultSpec slow;
+    slow.point = "dijkstra/settle";
+    slow.on_hit = 0;
+    slow.action = dsg::testing::FaultSpec::Action::kDelay;
+    slow.delay = std::chrono::milliseconds(100);
+    dsg::testing::ScopedFaults faults(/*seed=*/7, {slow});
+    std::thread watcher([&] {
+      while (dsg::testing::fault_point_hits("dijkstra/settle") < 1) {
+        std::this_thread::yield();
+      }
+      control.request_cancel();
+    });
+    r = dsg::dijkstra(plan, ctx, 0, exec);
+    watcher.join();
+  }
+  EXPECT_EQ(r.status, SsspStatus::kCancelled);
+  EXPECT_EQ(r.stats.outer_iterations, 1024u);
+  expect_upper_bounds(a, 0, r.dist);
+  expect_exact("after mid-run cancel");
+
+  // A fault thrown mid-run abandons the heap with entries in it.
+  {
+    dsg::testing::FaultSpec fail;
+    fail.point = "dijkstra/settle";
+    fail.on_hit = 700;
+    dsg::testing::ScopedFaults faults(/*seed=*/7, {fail});
+    EXPECT_THROW(dsg::dijkstra(plan, ctx, 0), std::bad_alloc);
+  }
+  expect_exact("after a fault thrown mid-run");
 }
 
 // --- Failure-isolated batches. -----------------------------------------------

@@ -2,6 +2,10 @@
 // validation, extreme deltas, extreme structures, numeric extremes.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "graph/edge_list.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
@@ -63,6 +67,54 @@ TEST(InputValidation, BadDeltaRejected) {
   EXPECT_THROW(dsg::delta_stepping_fused(a, 0, opt), grb::InvalidValue);
   opt.delta = -2.0;
   EXPECT_THROW(dsg::delta_stepping_graphblas(a, 0, opt), grb::InvalidValue);
+}
+
+// Every entry applies the plan's one weight rule, finite and >= 0: a
+// plain (w < 0) test lets NaN and +inf through, and the legacy dijkstra
+// then silently dropped a NaN-weighted edge.
+TEST(InputValidation, NonFiniteWeightRejectedByEveryEntry) {
+  for (const double bad : {std::nan(""), kInfDist}) {
+    SCOPED_TRACE("weight=" + std::to_string(bad));
+    EdgeList g(3);
+    g.add_edge(0, 1, 1.0);
+    g.add_edge(1, 2, bad);
+    const auto a = g.to_matrix();
+    dsg::DeltaSteppingOptions opt;
+    EXPECT_THROW(dsg::GraphPlan::borrow(a, 1.0), grb::InvalidValue);
+    EXPECT_THROW(dsg::delta_stepping_graphblas(a, 0, opt), grb::InvalidValue);
+    EXPECT_THROW(dsg::delta_stepping_graphblas_select(a, 0, opt),
+                 grb::InvalidValue);
+    EXPECT_THROW(dsg::delta_stepping_openmp(a, 0, dsg::OpenMpOptions{}),
+                 grb::InvalidValue);
+    EXPECT_THROW(dsg::delta_stepping_capi(a, 0, opt), grb::InvalidValue);
+    EXPECT_THROW(dsg::dijkstra(a, 0), grb::InvalidValue);
+    std::vector<Index> parent;
+    EXPECT_THROW(dsg::dijkstra_with_parents(a, 0, parent), grb::InvalidValue);
+  }
+}
+
+// Δ = +inf put everything in bucket 0 and Δ = NaN in no bucket; the legacy
+// graphblas entry returned kComplete at Δ = +inf with every other vertex
+// of a path left at +inf.
+TEST(InputValidation, NonFiniteDeltaRejectedByEveryEntry) {
+  const auto a = dsg::test::path_graph(5).to_matrix();
+  for (const double delta : {kInfDist, -kInfDist, std::nan("")}) {
+    SCOPED_TRACE("delta=" + std::to_string(delta));
+    dsg::OpenMpOptions opt;
+    opt.delta = delta;
+    EXPECT_THROW(dsg::delta_stepping_graphblas(a, 0, opt), grb::InvalidValue);
+    EXPECT_THROW(dsg::delta_stepping_graphblas_select(a, 0, opt),
+                 grb::InvalidValue);
+    EXPECT_THROW(dsg::delta_stepping_openmp(a, 0, opt), grb::InvalidValue);
+    EXPECT_THROW(dsg::delta_stepping_capi(a, 0, opt), grb::InvalidValue);
+    EXPECT_THROW(dsg::delta_stepping_fused(a, 0, opt), grb::InvalidValue);
+    EXPECT_THROW(dsg::delta_stepping_buckets(a, 0, opt), grb::InvalidValue);
+    dsg::AsyncSteppingOptions async_opt;
+    async_opt.delta = delta;
+    async_opt.num_threads = 1;
+    EXPECT_THROW(dsg::delta_stepping_async(a, 0, async_opt),
+                 grb::InvalidValue);
+  }
 }
 
 TEST(EdgeCases, IsolatedSourceVertex) {

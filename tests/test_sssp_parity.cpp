@@ -4,6 +4,7 @@
 // evaluation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -174,10 +175,11 @@ TEST(BucketCounters, FusedMatchesGraphblasAtInexactDeltas) {
 
 TEST(BucketCounters, FusedHandlesDistancesOnBucketEdges) {
   // On a path whose weight equals Δ every distance lies on a bucket edge,
-  // where fl(i·Δ), fl(i·Δ) + Δ and the running sums round apart.  The
-  // fused core must still reach every vertex with Dijkstra's exact sums,
-  // and process one bucket per distinct bucket index: the least i with
-  // t < i·Δ + Δ, found here by a plain scan.
+  // where fl(i·Δ), fl((i+1)·Δ) and the running sums round apart.  Every
+  // bucketed core must still reach every vertex with Dijkstra's exact
+  // sums, which needs bucket i + 1 to start exactly where bucket i ends.
+  // fused must also process one bucket per distinct bucket index: the
+  // least i with t < (i+1)·Δ, found here by a plain scan.
   constexpr Index n = 400;
   for (const double delta : {0.1, 0.3, 1.0 / 3.0, 0.7}) {
     SCOPED_TRACE("delta=" + std::to_string(delta));
@@ -190,11 +192,21 @@ TEST(BucketCounters, FusedHandlesDistancesOnBucketEdges) {
     const auto oracle = dsg::dijkstra(a, 0);
     const auto fused = solve_with(dsg::sssp::Algorithm::kFused, a, delta, 0);
     EXPECT_EQ(fused.dist, oracle.dist);
+    for (const auto algorithm :
+         {dsg::sssp::Algorithm::kGraphblas,
+          dsg::sssp::Algorithm::kGraphblasSelect, dsg::sssp::Algorithm::kCapi,
+          dsg::sssp::Algorithm::kOpenmp, dsg::sssp::Algorithm::kBuckets,
+          dsg::sssp::Algorithm::kDeltaSteppingAsync}) {
+      SCOPED_TRACE(dsg::sssp::algorithm_info(algorithm).name);
+      const auto r = solve_with(algorithm, a, delta, 0);
+      EXPECT_EQ(std::count(r.dist.begin(), r.dist.end(), dsg::kInfDist), 0);
+      EXPECT_EQ(r.dist, oracle.dist);
+    }
 
     std::set<Index> buckets;
     Index i = 0;
     for (const double t : oracle.dist) {  // ascending along the path
-      while (!(t < static_cast<double>(i) * delta + delta)) ++i;
+      while (!(t < static_cast<double>(i + 1) * delta)) ++i;
       buckets.insert(i);
     }
     EXPECT_EQ(fused.stats.outer_iterations, buckets.size());
